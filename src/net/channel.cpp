@@ -1,65 +1,75 @@
 #include "net/channel.hpp"
 
+#include <algorithm>
+#include <cstring>
 #include <istream>
 #include <ostream>
 #include <string>
+#include <utility>
 
 namespace nubb {
 
 namespace {
 
-constexpr std::size_t kHeaderBytes = 12;
-
-void encode_header(std::uint8_t* h, MessageType type, std::uint32_t length) {
-  const std::uint32_t magic = kFrameMagic;
-  const std::uint16_t version = kWireVersion;
-  const std::uint16_t t = static_cast<std::uint16_t>(type);
-  for (int i = 0; i < 4; ++i) h[i] = static_cast<std::uint8_t>(magic >> (8 * i));
-  for (int i = 0; i < 2; ++i) h[4 + i] = static_cast<std::uint8_t>(version >> (8 * i));
-  for (int i = 0; i < 2; ++i) h[6 + i] = static_cast<std::uint8_t>(t >> (8 * i));
-  for (int i = 0; i < 4; ++i) h[8 + i] = static_cast<std::uint8_t>(length >> (8 * i));
-}
+/// Send buffers above this capacity are released at the next frame, so one
+/// large Snapshot does not pin its buffer for the rest of the session.
+constexpr std::size_t kMaxRetainedSendBytes = std::size_t{1} << 20;
 
 }  // namespace
 
+Channel::Channel(Channel&& other) noexcept
+    : max_frame_bytes_(other.max_frame_bytes_),
+      send_buffer_(std::move(other.send_buffer_)),
+      receive_buffer_(std::move(other.receive_buffer_)),
+      rx_begin_(std::exchange(other.rx_begin_, 0)),
+      rx_end_(std::exchange(other.rx_end_, 0)),
+      bytes_sent_(other.bytes_sent_),
+      bytes_received_(other.bytes_received_),
+      write_calls_(other.write_calls_),
+      read_calls_(other.read_calls_) {}
+
 void Channel::send_frame(MessageType type, const std::vector<std::uint8_t>& payload) {
-  if (payload.size() > max_frame_bytes_) {
-    throw WireError("channel: frame payload of " + std::to_string(payload.size()) +
+  send_encoded(type, [&](WireWriter& w) { w.raw(payload.data(), payload.size()); });
+}
+
+void Channel::begin_frame(MessageType type) {
+  if (send_buffer_.bytes().capacity() > kMaxRetainedSendBytes) send_buffer_ = WireWriter();
+  send_buffer_.clear();
+  send_buffer_.u32(kFrameMagic);
+  send_buffer_.u16(kWireVersion);
+  send_buffer_.u16(static_cast<std::uint16_t>(type));
+  send_buffer_.u32(0);  // length, patched once the payload is encoded
+}
+
+void Channel::end_frame() {
+  const std::vector<std::uint8_t>& frame = send_buffer_.bytes();
+  const std::size_t length = frame.size() - kFrameHeaderBytes;
+  if (length > max_frame_bytes_) {
+    throw WireError("channel: frame payload of " + std::to_string(length) +
                     " bytes exceeds the " + std::to_string(max_frame_bytes_) + "-byte limit");
   }
-  std::uint8_t header[kHeaderBytes];
-  encode_header(header, type, static_cast<std::uint32_t>(payload.size()));
-  write_bytes(header, kHeaderBytes);
-  if (!payload.empty()) write_bytes(payload.data(), payload.size());
+  send_buffer_.patch_u32(8, static_cast<std::uint32_t>(length));  // header bytes 8..11
+  write_bytes(frame.data(), frame.size());
+  ++write_calls_;
   flush();
-  bytes_sent_ += kHeaderBytes + payload.size();
+  bytes_sent_ += frame.size();
 }
 
 bool Channel::receive_frame(Frame& frame) {
-  std::uint8_t header[kHeaderBytes];
-  if (!read_exact(header, kHeaderBytes)) return false;
+  std::uint8_t header[kFrameHeaderBytes];
+  if (!read_exact(header, kFrameHeaderBytes)) return false;
 
-  std::uint32_t magic = 0;
-  for (int i = 0; i < 4; ++i) magic |= static_cast<std::uint32_t>(header[i]) << (8 * i);
-  if (magic != kFrameMagic) {
+  WireReader h(header, kFrameHeaderBytes);
+  if (h.u32() != kFrameMagic) {
     throw WireError("channel: bad frame magic (stream out of sync or not a nubb peer)");
   }
-  std::uint16_t version = 0;
-  for (int i = 0; i < 2; ++i) {
-    version = static_cast<std::uint16_t>(version |
-                                         static_cast<std::uint16_t>(header[4 + i]) << (8 * i));
-  }
+  const std::uint16_t version = h.u16();
   if (version != kWireVersion) {
     throw WireError("channel: wire version " + std::to_string(version) +
                     " from peer, this build speaks " + std::to_string(kWireVersion));
   }
-  std::uint16_t type = 0;
-  for (int i = 0; i < 2; ++i) {
-    type = static_cast<std::uint16_t>(type |
-                                      static_cast<std::uint16_t>(header[6 + i]) << (8 * i));
-  }
-  std::uint32_t length = 0;
-  for (int i = 0; i < 4; ++i) length |= static_cast<std::uint32_t>(header[8 + i]) << (8 * i);
+  const std::uint16_t type = h.u16();
+  const std::uint32_t length = h.u32();
   if (length > max_frame_bytes_) {
     throw WireError("channel: frame length " + std::to_string(length) + " exceeds the " +
                     std::to_string(max_frame_bytes_) + "-byte limit");
@@ -70,19 +80,36 @@ bool Channel::receive_frame(Frame& frame) {
   if (length != 0 && !read_exact(frame.payload.data(), length)) {
     throw WireError("channel: stream ended inside a frame payload");
   }
-  bytes_received_ += kHeaderBytes + length;
+  bytes_received_ += kFrameHeaderBytes + length;
   return true;
 }
 
 bool Channel::read_exact(std::uint8_t* data, std::size_t size) {
   std::size_t got = 0;
   while (got < size) {
-    const std::size_t n = read_bytes(data + got, size - got);
-    if (n == 0) {
-      if (got == 0) return false;  // clean EOF at a frame boundary
-      throw WireError("channel: stream ended mid-frame (" + std::to_string(got) + " of " +
-                      std::to_string(size) + " bytes)");
+    if (rx_begin_ == rx_end_) {
+      // Nothing buffered. A read of at least a whole buffer (or any read
+      // without one) goes straight to the caller; a shorter one refills.
+      const std::size_t want = size - got;
+      const bool direct = want >= receive_buffer_.size();
+      const std::size_t n = direct ? read_bytes(data + got, want)
+                                   : read_bytes(receive_buffer_.data(), receive_buffer_.size());
+      ++read_calls_;
+      if (n == 0) {
+        if (got == 0) return false;  // clean EOF at a frame boundary
+        throw WireError("channel: stream ended mid-frame (" + std::to_string(got) + " of " +
+                        std::to_string(size) + " bytes)");
+      }
+      if (direct) {
+        got += n;
+        continue;
+      }
+      rx_begin_ = 0;
+      rx_end_ = n;
     }
+    const std::size_t n = std::min(size - got, rx_end_ - rx_begin_);
+    std::memcpy(data + got, receive_buffer_.data() + rx_begin_, n);
+    rx_begin_ += n;
     got += n;
   }
   return true;

@@ -22,6 +22,7 @@
 /// threads may own the two ends of a connected pair, but a single end is
 /// never shared without external locking.
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <vector>
@@ -69,11 +70,29 @@ struct Frame {
   std::vector<std::uint8_t> payload;
 };
 
+/// Frame header size on the wire (magic, version, type, length).
+inline constexpr std::size_t kFrameHeaderBytes = 12;
+
 /// Framed bidirectional message transport.
+///
+/// Send path: every frame — header and payload — is assembled in one
+/// reused per-channel buffer and handed to the transport in a single
+/// write_bytes call, so a socket sends it as one segment and the buffer
+/// stops allocating once it has held the largest frame sent.
+///
+/// Receive path: a transport may give the channel a fixed-size receive
+/// buffer (SocketChannel does). Reads shorter than the buffer then fill
+/// it with one read_bytes call, which usually returns a whole small frame
+/// — or several — at once; reads of at least the buffer's size (the rest
+/// of a large payload) go straight into the caller's memory. Without a
+/// buffer every read goes straight through. Either way the channel
+/// consumes exactly the bytes of one frame per receive_frame, so no byte
+/// of one frame is ever handed out as part of another.
 class Channel {
  public:
-  explicit Channel(std::uint32_t max_frame_bytes = kDefaultMaxFrameBytes)
-      : max_frame_bytes_(max_frame_bytes) {}
+  explicit Channel(std::uint32_t max_frame_bytes = kDefaultMaxFrameBytes,
+                   std::size_t receive_buffer_bytes = 0)
+      : max_frame_bytes_(max_frame_bytes), receive_buffer_(receive_buffer_bytes) {}
   virtual ~Channel() = default;
 
   Channel(const Channel&) = delete;
@@ -83,6 +102,16 @@ class Channel {
   /// \throws WireError when the payload exceeds max_frame_bytes,
   ///         std::runtime_error on transport failure.
   void send_frame(MessageType type, const std::vector<std::uint8_t>& payload);
+
+  /// Send one frame whose payload `encode(WireWriter&)` writes directly
+  /// behind the header in the channel's send buffer (no payload copy).
+  /// Same guarantees and errors as send_frame.
+  template <typename Encode>
+  void send_encoded(MessageType type, Encode&& encode) {
+    begin_frame(type);
+    encode(send_buffer_);
+    end_frame();
+  }
 
   /// Receive one frame. Returns false on clean end-of-stream at a frame
   /// boundary (the peer closed after a complete message). \throws WireError
@@ -96,7 +125,18 @@ class Channel {
   std::uint64_t bytes_sent() const noexcept { return bytes_sent_; }
   std::uint64_t bytes_received() const noexcept { return bytes_received_; }
 
+  /// Transport calls made (telemetry): write_bytes calls, one per frame
+  /// sent, and read_bytes calls — recv(2) calls for a SocketChannel, where
+  /// back-to-back small frames share one.
+  std::uint64_t write_calls() const noexcept { return write_calls_; }
+  std::uint64_t read_calls() const noexcept { return read_calls_; }
+
  protected:
+  /// Moves carry the counters, the send buffer and any received bytes not
+  /// yet consumed, so a moved channel continues the stream exactly.
+  Channel(Channel&& other) noexcept;
+  Channel& operator=(Channel&&) = delete;
+
   /// Transport hooks. write_bytes sends exactly `size` bytes or throws;
   /// read_bytes returns the count actually read (0 = end of stream) and
   /// throws only on transport errors.
@@ -108,13 +148,22 @@ class Channel {
   virtual void flush() {}
 
  private:
+  void begin_frame(MessageType type);
+  void end_frame();
+
   /// Read exactly `size` bytes. Returns false when the stream ended before
   /// the first byte (clean EOF); throws WireError when it ends after it.
   bool read_exact(std::uint8_t* data, std::size_t size);
 
   std::uint32_t max_frame_bytes_;
+  WireWriter send_buffer_;
+  std::vector<std::uint8_t> receive_buffer_;  ///< fixed size; never grows
+  std::size_t rx_begin_ = 0;                  ///< unread bytes are
+  std::size_t rx_end_ = 0;                    ///< receive_buffer_[begin, end)
   std::uint64_t bytes_sent_ = 0;
   std::uint64_t bytes_received_ = 0;
+  std::uint64_t write_calls_ = 0;
+  std::uint64_t read_calls_ = 0;
 };
 
 /// Channel over caller-supplied iostreams — the in-process transport for

@@ -258,12 +258,11 @@ using Request = std::variant<PlaceRequest, BatchPlaceRequest, LookupRequest, Sna
 /// non-request frame type or malformed payload.
 Request decode_request(const Frame& frame);
 
-/// Encode and send one message (request or response).
+/// Encode and send one message (request or response), encoding straight
+/// into the channel's reused send buffer.
 template <typename Msg>
 void send_message(Channel& channel, const Msg& msg) {
-  WireWriter w;
-  msg.encode(w);
-  channel.send_frame(Msg::kType, w.bytes());
+  channel.send_encoded(Msg::kType, [&msg](WireWriter& w) { msg.encode(w); });
 }
 
 /// Decode a frame known to carry `Msg`. \throws WireError on type

@@ -66,12 +66,12 @@ SocketChannel SocketChannel::connect(const std::string& host, std::uint16_t port
 }
 
 SocketChannel::SocketChannel(int fd, std::uint32_t max_frame_bytes)
-    : Channel(max_frame_bytes), fd_(fd) {
+    : Channel(max_frame_bytes, kReceiveBufferBytes), fd_(fd) {
   set_nodelay(fd_);
 }
 
 SocketChannel::SocketChannel(SocketChannel&& other) noexcept
-    : Channel(other.max_frame_bytes()), fd_(std::exchange(other.fd_, -1)) {}
+    : Channel(std::move(other)), fd_(std::exchange(other.fd_, -1)) {}
 
 SocketChannel::~SocketChannel() {
   if (fd_ >= 0) ::close(fd_);

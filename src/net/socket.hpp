@@ -22,8 +22,15 @@ namespace nubb {
 /// A connected TCP stream speaking the frame protocol. Use one per thread;
 /// the framing state machine is not reentrant (same contract as
 /// StreamChannel).
+///
+/// Each frame leaves in one send(2); reads go through a fixed
+/// kReceiveBufferBytes buffer, so one recv(2) usually returns a small
+/// frame whole, and the rest of a larger payload is received straight
+/// into the frame (Channel documents both paths).
 class SocketChannel final : public Channel {
  public:
+  static constexpr std::size_t kReceiveBufferBytes = 4096;
+
   /// Connect to host:port (numeric IPv4 dotted quad or a resolvable name).
   /// \throws WireError when resolution or connection fails.
   static SocketChannel connect(const std::string& host, std::uint16_t port,
@@ -33,6 +40,8 @@ class SocketChannel final : public Channel {
   /// ownership; the descriptor is closed on destruction.
   explicit SocketChannel(int fd, std::uint32_t max_frame_bytes = kDefaultMaxFrameBytes);
 
+  /// Carries the byte and call counters and any received, not yet
+  /// consumed bytes over to the new channel.
   SocketChannel(SocketChannel&& other) noexcept;
   SocketChannel& operator=(SocketChannel&&) = delete;
   ~SocketChannel() override;
@@ -46,7 +55,7 @@ class SocketChannel final : public Channel {
  protected:
   void write_bytes(const std::uint8_t* data, std::size_t size) override;
   std::size_t read_bytes(std::uint8_t* data, std::size_t size) override;
-  void flush() override {}  // no userspace buffer; TCP_NODELAY is set
+  void flush() override {}  // frames leave whole in one send; TCP_NODELAY is set
 
  private:
   int fd_ = -1;

@@ -14,6 +14,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -27,26 +28,21 @@ class WireError : public std::runtime_error {
 };
 
 /// Append-only little-endian encoder for one frame payload.
+///
+/// The buffer keeps its capacity across clear(), so a writer reused for
+/// many messages (every Channel owns one for its send path) stops
+/// allocating once it has held the largest of them. A fresh writer starts
+/// with room for any fixed-size message plus a frame header.
 class WireWriter {
  public:
+  static constexpr std::size_t kInitialCapacity = 64;
+
+  WireWriter() { bytes_.reserve(kInitialCapacity); }
+
   void u8(std::uint8_t v) { bytes_.push_back(v); }
-
-  void u16(std::uint16_t v) {
-    bytes_.push_back(static_cast<std::uint8_t>(v));
-    bytes_.push_back(static_cast<std::uint8_t>(v >> 8));
-  }
-
-  void u32(std::uint32_t v) {
-    for (int shift = 0; shift < 32; shift += 8) {
-      bytes_.push_back(static_cast<std::uint8_t>(v >> shift));
-    }
-  }
-
-  void u64(std::uint64_t v) {
-    for (int shift = 0; shift < 64; shift += 8) {
-      bytes_.push_back(static_cast<std::uint8_t>(v >> shift));
-    }
-  }
+  void u16(std::uint16_t v) { put(v); }
+  void u32(std::uint32_t v) { put(v); }
+  void u64(std::uint64_t v) { put(v); }
 
   /// IEEE-754 bit pattern in a u64 (bit-exact round trip).
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
@@ -59,14 +55,42 @@ class WireWriter {
 
   /// Length-prefixed (u64 count) vector of u64.
   void u64_vec(const std::vector<std::uint64_t>& v) {
+    bytes_.reserve(bytes_.size() + 8 * (v.size() + 1));
     u64(v.size());
     for (const std::uint64_t x : v) u64(x);
   }
 
+  /// Raw bytes, no length prefix (an already-encoded payload).
+  void raw(const std::uint8_t* data, std::size_t size) {
+    if (size != 0) std::memcpy(grow(size), data, size);
+  }
+
+  /// Overwrite four already-written bytes at `offset` with `v` (a length
+  /// field that is known only once the rest is encoded).
+  void patch_u32(std::size_t offset, std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) bytes_.at(offset + i) = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+
+  /// Drop the contents, keep the capacity.
+  void clear() noexcept { bytes_.clear(); }
+
   const std::vector<std::uint8_t>& bytes() const noexcept { return bytes_; }
-  std::vector<std::uint8_t> take() noexcept { return std::move(bytes_); }
 
  private:
+  /// Extend by `n` bytes and return where they start: one capacity check
+  /// per field instead of one per byte.
+  std::uint8_t* grow(std::size_t n) {
+    const std::size_t at = bytes_.size();
+    bytes_.resize(at + n);
+    return bytes_.data() + at;
+  }
+
+  template <typename T>
+  void put(T v) {
+    std::uint8_t* p = grow(sizeof(T));
+    for (std::size_t i = 0; i < sizeof(T); ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+
   std::vector<std::uint8_t> bytes_;
 };
 

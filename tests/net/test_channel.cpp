@@ -73,6 +73,25 @@ TEST(WireTest, VecCountBeyondPayloadThrows) {
   EXPECT_THROW(r.u64_vec(), WireError);
 }
 
+TEST(WireTest, WriterReusesItsCapacity) {
+  // A fresh writer holds any fixed-size message without growing...
+  WireWriter fresh;
+  const std::uint8_t* initial = fresh.bytes().data();
+  BatchPlaceResponse{1, 2, 3, 4, 5}.encode(fresh);
+  EXPECT_EQ(fresh.bytes().data(), initial);
+
+  // ...and clear() keeps whatever capacity a large message left behind.
+  WireWriter w;
+  SnapshotResponse snap;
+  snap.counts.assign(1000, 7);
+  snap.encode(w);
+  const std::uint8_t* grown = w.bytes().data();
+  w.clear();
+  EXPECT_TRUE(w.bytes().empty());
+  snap.encode(w);
+  EXPECT_EQ(w.bytes().data(), grown);
+}
+
 // --- frame round trips for every protocol message ---------------------------
 
 /// Send and re-decode one message through an in-process StreamChannel.
@@ -366,6 +385,29 @@ TEST(ChannelTest, ByteCountersTrackTraffic) {
   Frame frame;
   ASSERT_TRUE(channel.receive_frame(frame));
   EXPECT_EQ(channel.bytes_received(), channel.bytes_sent());
+}
+
+TEST(ChannelTest, FrameIsHeaderThenPayloadInOneWrite) {
+  std::stringstream wire;
+  StreamChannel channel(wire, wire);
+  send_message(channel, LookupRequest{0x0102030405060708ull});
+  // Magic "NUBB", version, type, payload length, then the bin; all LE.
+  std::vector<std::uint8_t> expected = {'N', 'U', 'B', 'B', kWireVersion, 0, 3, 0, 8, 0, 0, 0};
+  const std::vector<std::uint8_t> bin = {8, 7, 6, 5, 4, 3, 2, 1};
+  expected.insert(expected.end(), bin.begin(), bin.end());
+  const std::string bytes = wire.str();
+  EXPECT_EQ(std::vector<std::uint8_t>(bytes.begin(), bytes.end()), expected);
+  EXPECT_EQ(channel.write_calls(), 1u);
+  channel.send_frame(MessageType::kStatsRequest, {});
+  EXPECT_EQ(channel.write_calls(), 2u);
+
+  // A StreamChannel reads unbuffered: header and payload are one read each.
+  Frame frame;
+  ASSERT_TRUE(channel.receive_frame(frame));
+  EXPECT_EQ(channel.read_calls(), 2u);
+  ASSERT_TRUE(channel.receive_frame(frame));
+  EXPECT_EQ(channel.read_calls(), 3u);
+  EXPECT_EQ(frame.type, MessageType::kStatsRequest);
 }
 
 }  // namespace
